@@ -250,9 +250,10 @@ type Options struct {
 	// degrades exactly like a deadline.
 	MaxNodes int
 	// Workers bounds the concurrency of the hybrid strategy's prediction
-	// loop (0 = runtime.GOMAXPROCS(0), 1 = serial). The compiled circuit is
-	// identical for every worker count under an unbounded budget; workers
-	// (and the pattern memoisation they enable) only change compile time.
+	// loop (0 = runtime.GOMAXPROCS(0)); every value, 1 included, runs the
+	// same pooled engine over a memoised pattern cache. The compiled circuit
+	// is identical for every worker count under an unbounded budget; the
+	// worker count only changes compile time.
 	Workers int
 	// Trace, when non-nil, records the compile's execution timeline and
 	// metrics (see NewTrace). Nil disables tracing at ~zero cost and is the

@@ -193,8 +193,8 @@ func warmSolver(store *cachestore.Store, maxQubits, maxNodes int) (int, error) {
 // warmWorkload compiles every problem of a bench workload spec through
 // the cache, so the results are on disk before the daemon sees its first
 // request. Default compile options mirror the daemon's default request
-// path (serial, default angle/alpha), which is what makes the cache keys
-// line up.
+// path (one prediction worker, default angle/alpha), which is what makes
+// the cache keys line up.
 func warmWorkload(cache *core.Cache, path string) (int, error) {
 	spec, err := loadgen.LoadWorkload(path)
 	if err != nil {

@@ -40,7 +40,7 @@ func main() {
 		showArch = flag.Bool("show-arch", false, "print an ASCII picture of the device and exit")
 		showSch  = flag.Bool("schedule", false, "print the compiled schedule cycle by cycle")
 		timeout  = flag.Duration("timeout", 0, "wall-clock compile budget, e.g. 30s (0 = unbounded); on expiry the compiler degrades to the linear-depth ATA fallback")
-		workers  = flag.Int("workers", 0, "hybrid prediction workers (0 = GOMAXPROCS, 1 = serial); the compiled circuit is identical for every value")
+		workers  = flag.Int("workers", 0, "hybrid prediction workers (0 = GOMAXPROCS); the compiled circuit is identical for every value")
 		traceOut = flag.String("trace", "", "record the compile's execution trace to this file (tracing never changes the circuit)")
 		traceFmt = flag.String("trace-format", "chrome", "trace format: chrome (load in ui.perfetto.dev), jsonl, or text")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file; compiler phases carry ataqc_phase/ataqc_worker pprof labels")

@@ -30,7 +30,7 @@ func main() {
 		trials   = flag.Int("trials", 0, "graphs per cell (default: 10 full / 3 quick)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		timeout  = flag.Duration("timeout", 0, "per-compile wall-clock budget, e.g. 2m (0 = unbounded); expired compiles degrade to the linear-depth ATA fallback instead of failing the run")
-		workers  = flag.Int("workers", 0, "hybrid prediction workers per compile (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
+		workers  = flag.Int("workers", 0, "hybrid prediction workers per compile (0 = GOMAXPROCS); results are identical for every value")
 		traceOut = flag.String("trace", "", "record every governed compile's execution trace to this file (concurrent trials interleave spans)")
 		traceFmt = flag.String("trace-format", "chrome", "trace format: chrome (load in ui.perfetto.dev), jsonl, or text")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")

@@ -94,7 +94,7 @@ func CompileWithDeadline(method string, a *arch.Arch, p *graph.Graph, nm *noise.
 }
 
 // CompileWithOptions is CompileWithDeadline with an explicit worker count
-// for the hybrid prediction loop (0 = GOMAXPROCS default, 1 = serial) and
+// for the hybrid prediction loop (0 = GOMAXPROCS default) and
 // an optional trace the governed compiles attach to (nil = untraced).
 // Neither changes the measured circuit — only Seconds.
 func CompileWithOptions(method string, a *arch.Arch, p *graph.Graph, nm *noise.Model, deadline time.Duration, workers int, tr *obs.Trace) (Stats, error) {

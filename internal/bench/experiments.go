@@ -29,7 +29,7 @@ type Config struct {
 	// reimplementations are not governed.
 	Deadline time.Duration
 	// Workers is passed to the governed compiles' hybrid prediction loop
-	// (0 = runtime.GOMAXPROCS(0), 1 = serial). Output metrics are identical
+	// (0 = runtime.GOMAXPROCS(0)). Output metrics are identical
 	// for every worker count; it only changes compile wall-clock.
 	Workers int
 	// Trace, when non-nil, is attached to every governed compile of the run

@@ -15,7 +15,7 @@ import (
 // HybridBenchEntry is one cell of the parallel-prediction benchmark: a
 // method compiled on one (arch, graph) workload at one worker count. The
 // Depth/CX/Swaps columns exist so the regression harness can assert
-// worker-count parity — the parallel engine must never change the circuit,
+// worker-count parity — the worker count must never change the circuit,
 // only Seconds.
 type HybridBenchEntry struct {
 	Method  string  `json:"method"`
@@ -33,16 +33,16 @@ type HybridBenchEntry struct {
 	CX                 int     `json:"cx"`
 	Swaps              int     `json:"swaps"`
 	// Speedup is Seconds of the workers=1 entry of the same cell divided by
-	// this entry's Seconds (1.0 for the serial entry itself).
+	// this entry's Seconds (1.0 for the workers=1 entry itself).
 	Speedup float64 `json:"speedup"`
 }
 
 // HybridBench is the document serialised to BENCH_hybrid.json; see
 // EXPERIMENTS.md for the schema contract.
 type HybridBench struct {
-	// GOMAXPROCS records the host parallelism the numbers were taken at:
-	// on a single-CPU host the speedup is pure memoisation (shared pattern
-	// cache + choice replay); with more CPUs the worker fan-out adds to it.
+	// GOMAXPROCS records the host parallelism the numbers were taken at.
+	// Every worker count runs the same cached engine, so the speedup is the
+	// worker fan-out alone: about 1.0 on a single-CPU host.
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	Workers    []int              `json:"workers"` // the worker counts swept
 	Entries    []HybridBenchEntry `json:"entries"`
@@ -57,8 +57,8 @@ type HybridBenchConfig struct {
 
 // RunHybridBench sweeps the governed methods over (arch × n) workloads at
 // Workers ∈ {1, 8} and measures wall-clock and circuit metrics. It returns
-// an error — not just a slow number — when any parallel entry's
-// depth/CX/swap counts diverge from its serial twin, so both the CI
+// an error — not just a slow number — when any workers>1 entry's
+// depth/CX/swap counts diverge from its workers=1 twin, so both the CI
 // regression test and ad-hoc runs fail loudly on a determinism break.
 func RunHybridBench(cfg HybridBenchConfig) (*HybridBench, error) {
 	if cfg.Seed == 0 {
@@ -78,7 +78,7 @@ func RunHybridBench(cfg HybridBenchConfig) (*HybridBench, error) {
 	}
 	if !cfg.Quick {
 		// The headline cell: grid-64 / ER-0.5 is where the prediction loop
-		// dominates compile time and the memoised engine must show ≥1.5×.
+		// dominates compile time.
 		cells = append(cells, cell{"grid", 64, 0.5}, cell{"heavy-hex", 64, 0.3})
 	}
 	out := &HybridBench{GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: []int{1, 8}}
@@ -126,7 +126,7 @@ func RunHybridBench(cfg HybridBenchConfig) (*HybridBench, error) {
 				}
 				if e.Depth != serial.Depth || e.CX != serial.CX || e.Swaps != serial.Swaps {
 					return nil, fmt.Errorf(
-						"parallel regression: %s on %s/%s workers=%d produced depth=%d cx=%d swaps=%d, serial produced depth=%d cx=%d swaps=%d",
+						"parallel regression: %s on %s/%s workers=%d produced depth=%d cx=%d swaps=%d, workers=1 produced depth=%d cx=%d swaps=%d",
 						method, a.Name, graphName, e.Workers, e.Depth, e.CX, e.Swaps, serial.Depth, serial.CX, serial.Swaps)
 				}
 				e.Speedup = serial.Seconds / e.Seconds

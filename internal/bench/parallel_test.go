@@ -60,7 +60,8 @@ func benchCompile(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkHybridGrid64Serial / Parallel8 are the headline pair of the
-// acceptance criterion: grid-64 / ER-0.5, Workers 1 vs 8.
+// BenchmarkHybridGrid64Serial / Parallel8 compare grid-64 / ER-0.5 at
+// Workers 1 vs 8. Both run the same cached prediction engine, so the pair
+// measures the worker fan-out alone; "Serial" names the one-worker pool.
 func BenchmarkHybridGrid64Serial(b *testing.B)    { benchCompile(b, 1) }
 func BenchmarkHybridGrid64Parallel8(b *testing.B) { benchCompile(b, 8) }

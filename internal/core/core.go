@@ -74,11 +74,12 @@ type Options struct {
 	// greedy checkpoint's ATA prediction is independent, so they fan out
 	// over a worker pool sharing a memoised pattern cache
 	// (internal/swapnet.PatternCache). 0 defaults to runtime.GOMAXPROCS(0);
-	// 1 keeps the original serial loop. The compiled circuit, Stats (except
-	// Elapsed), and selected candidate are byte-identical for every worker
-	// count when the budget is unbounded — workers only change wall-clock.
-	// Under an exhausting budget the parallel pool truncates the candidate
-	// set it evaluated (the degradation ladder is preserved, but which
+	// 1 is a pool of one running the same engine. The compiled circuit,
+	// Stats (except Elapsed and the cache counters), and selected candidate
+	// are byte-identical for every worker count when the budget is
+	// unbounded — workers only change wall-clock. Under an exhausting
+	// budget the pool truncates the candidate set it evaluated (the
+	// degradation ladder is preserved; with more than one worker, which
 	// candidates were scored before exhaustion is timing-dependent).
 	Workers int
 	// Trace, when non-nil, records the compile timeline (phase spans,
@@ -94,9 +95,8 @@ type Options struct {
 	// materialisation, and pure-ATA replay all consult it instead of a
 	// per-compile cache. Sharing is output-safe — cached entries replay
 	// exactly what an uncached run computes (see scoreCheckpoint) — so the
-	// compiled circuit is byte-identical with or without it. Nil keeps the
-	// historical behaviour: Workers>1 builds a private per-compile cache,
-	// Workers=1 runs uncached.
+	// compiled circuit is byte-identical with or without it. Nil gives the
+	// compile a private pattern cache of its own.
 	PatternCache *swapnet.PatternCache
 }
 
@@ -175,8 +175,8 @@ type Stats struct {
 	SelectedPrefix int
 	// CacheHits/CacheMisses report pattern-cache effectiveness for this
 	// compilation (deltas, so a shared Options.PatternCache does not bleed
-	// other compiles' counters in). Both stay zero in the Workers=1 serial
-	// path unless a shared cache was supplied.
+	// other compiles' counters in). Every hybrid compile consults a pattern
+	// cache, whatever the worker count.
 	CacheHits   int64
 	CacheMisses int64
 	// CacheTier reports which compilation-cache tier served this result
@@ -418,7 +418,7 @@ func compileATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Options,
 	defer ph.end()
 	b := circuit.NewBuilder(a, problem.N(), initial)
 	st := swapnet.NewStateFromMapping(a, initial, swapnet.NewEdgeSet(problem))
-	if err := runATARegionsTraced(st, b, opts.Angle, opts.PatternCache, rec.tr, ph.span); err != nil {
+	if err := runATARegions(st, b, opts.Angle, opts.PatternCache, rec.tr, ph.span); err != nil {
 		return nil, err
 	}
 	res := &Result{Circuit: b.C, Initial: b.InitialMapping(), Final: b.CurrentMapping(), Source: "ata"}
@@ -427,23 +427,13 @@ func compileATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Options,
 }
 
 // runATARegions detects the interaction regions of the remaining problem
-// (§6.3) and runs the structured pattern inside each, appending to b.
-func runATARegions(st *swapnet.State, b *circuit.Builder, angle float64) error {
-	return runATARegionsCached(st, b, angle, nil)
-}
-
-// runATARegionsCached is runATARegions through a pattern cache (nil =
-// uncached) — the parallel hybrid engine shares one cache between its
-// prediction workers and the final materialisation, so the winning
-// candidate's ATA suffix replays the dual-prediction choices it already
-// scored instead of recomputing them.
-func runATARegionsCached(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache) error {
-	return runATARegionsTraced(st, b, angle, c, nil, nil)
-}
-
-// runATARegionsTraced is runATARegionsCached with each region's pattern
-// build wrapped in an "ata.region" span under parent (nil trace = no spans).
-func runATARegionsTraced(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache, tr *obs.Trace, parent *obs.Span) error {
+// (§6.3) and runs the structured pattern inside each, appending to b. A
+// non-nil pattern cache memoises the pattern work (the hybrid engine shares
+// one between its prediction workers and materialisation, so the winning
+// candidate's ATA suffix replays the choices it already scored), and each
+// region's pattern build gets an "ata.region" span under parent (nil trace
+// = no spans).
+func runATARegions(st *swapnet.State, b *circuit.Builder, angle float64, c *swapnet.PatternCache, tr *obs.Trace, parent *obs.Span) error {
 	regions := detectRegions(st, c)
 	for _, r := range regions {
 		if err := swapnet.ATATraced(st, r, builderEmit(b, angle), c, tr, parent); err != nil {

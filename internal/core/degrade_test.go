@@ -93,20 +93,38 @@ func TestPredictionBudgetKeepsBestSoFar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compile(a, p, Options{InitialMapping: initial, MaxNodes: g.Cycles + 1})
-	if err != nil {
-		t.Fatalf("expected degraded result, got error: %v", err)
+	// Workers 0 is the GOMAXPROCS default; Workers 1 is the pool of one that
+	// served compiles run, which must degrade deterministically.
+	for _, workers := range []int{0, 1} {
+		opts := Options{InitialMapping: initial, MaxNodes: g.Cycles + 1, Workers: workers}
+		res, err := Compile(a, p, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: expected degraded result, got error: %v", workers, err)
+		}
+		if !res.Degraded {
+			t.Fatalf("workers=%d: expected prediction-loop truncation to mark the result degraded", workers)
+		}
+		if !strings.Contains(res.DegradeReason.String(), "prediction budget exhausted") {
+			t.Fatalf("workers=%d: expected the best-so-far rung, got %q", workers, res.DegradeReason.String())
+		}
+		if res.Stats.Predictions >= res.Stats.Checkpoints {
+			t.Fatalf("workers=%d: expected truncated predictions: %d/%d", workers, res.Stats.Predictions, res.Stats.Checkpoints)
+		}
+		verifyClean(t, a, p, res)
+		if workers != 1 {
+			continue
+		}
+		again, err := Compile(a, p, opts)
+		if err != nil {
+			t.Fatalf("workers=1 rerun: %v", err)
+		}
+		if !bytes.Equal(qasmOf(t, res), qasmOf(t, again)) {
+			t.Fatal("workers=1: two degraded compiles produced different circuits")
+		}
+		if again.Stats.Predictions != res.Stats.Predictions {
+			t.Fatalf("workers=1: predictions %d != %d across runs", again.Stats.Predictions, res.Stats.Predictions)
+		}
 	}
-	if !res.Degraded {
-		t.Fatal("expected prediction-loop truncation to mark the result degraded")
-	}
-	if !strings.Contains(res.DegradeReason.String(), "prediction budget exhausted") {
-		t.Fatalf("expected the best-so-far rung, got %q", res.DegradeReason.String())
-	}
-	if res.Stats.Predictions >= res.Stats.Checkpoints {
-		t.Fatalf("expected truncated predictions: %d/%d", res.Stats.Predictions, res.Stats.Checkpoints)
-	}
-	verifyClean(t, a, p, res)
 }
 
 func TestCanceledContextIsAnErrorNotADegrade(t *testing.T) {

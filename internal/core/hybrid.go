@@ -96,11 +96,10 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 	// The loop is governed: the budget is polled before every checkpoint and
 	// charged with each prediction's pattern cycles. Exhaustion mid-loop
 	// keeps whatever candidates were scored — the "best candidate recorded
-	// so far" rung of the degradation ladder. Workers=1 runs the original
-	// serial loop uncached; Workers>1 fans the predictions over a pool
-	// sharing a pattern cache (parallel.go) with identical scores and
-	// tie-breaks, so the selected candidate — and the output circuit — are
-	// the same for any worker count under an unbounded budget.
+	// so far" rung of the degradation ladder. The predictions fan out over
+	// a pool of Options.Workers workers (predict.go) with identical scores
+	// and tie-breaks, so the selected candidate — and the output circuit —
+	// are the same for any worker count under an unbounded budget.
 	h := &hybridEval{
 		a: a, problem: problem, opts: opts, bud: bud, rec: rec, gates: gates,
 		cxPre: cxPre, lfPre: lfPre, oCycles: oCycles, oCX: oCX, oLF: oLF,
@@ -111,25 +110,16 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		dreason DegradeReason
 	)
 	// A caller-supplied cache (CompileCached's warm pattern cache) is
-	// shared by every engine; otherwise the parallel engine builds its own
-	// per-compile cache and the serial engine runs uncached, preserving the
-	// historical paths. cs0 snapshots the counters so shared caches report
-	// per-compile deltas.
+	// shared across compiles; otherwise the compile gets its own. cs0
+	// snapshots the counters so shared caches report per-compile deltas.
 	cache := opts.PatternCache
-	if cache == nil && opts.Workers > 1 {
+	if cache == nil {
 		cache = swapnet.NewPatternCache(0)
 	}
-	var cs0 swapnet.CacheStats
-	if cache != nil {
-		cs0 = cache.Stats()
-	}
+	cs0 := cache.Stats()
 	pph := rec.phase("predict")
 	obs.PhaseLabel(bud.ctx, "predict", func(context.Context) {
-		if opts.Workers > 1 {
-			best, dreason, err = h.predictParallel(cps, &stats, cache, pph.span)
-		} else {
-			best, dreason, err = h.predictSerial(cps, &stats, cache, pph.span)
-		}
+		best, dreason, err = h.predict(cps, &stats, cache, pph.span)
 	})
 	pph.end()
 	if err != nil {
@@ -144,7 +134,7 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 	stats.SelectedPrefix = best.cp.prefixLen
 
 	// --- Materialise the winning greedy-prefix + ATA-suffix circuit. ---
-	// The parallel engine's cache flows into materialisation: the winning
+	// The prediction cache flows into materialisation: the winning
 	// candidate's grid pattern choices were memoised while it was scored, so
 	// the ATA suffix replays the recorded decisions instead of re-running
 	// the dual prediction.
@@ -157,9 +147,10 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		// the prefix is verified greedy output, and the assembled circuit is
 		// strict-verified again before Compile returns.
 		b.ReplayPrefix(gates[:best.cp.prefixLen])
-		want := remainingAfterPrefix(problem, gates[:best.cp.prefixLen])
+		want := swapnet.NewEdgeSet(problem)
+		removeScheduled(want, gates[:best.cp.prefixLen])
 		st := swapnet.NewStateFromMapping(a, best.cp.l2p, want)
-		mErr = runATARegionsTraced(st, b, opts.Angle, cache, rec.tr, mph.span)
+		mErr = runATARegions(st, b, opts.Angle, cache, rec.tr, mph.span)
 	})
 	mph.end()
 	if mErr != nil {
@@ -180,9 +171,9 @@ type candidate struct {
 	f  float64
 }
 
-// hybridEval carries the selector context shared by the serial and parallel
-// prediction engines: the greedy baseline metrics and the prefix sums that
-// make per-checkpoint scoring O(prediction).
+// hybridEval carries the selector context of the prediction engine: the
+// greedy baseline metrics and the prefix sums that make per-checkpoint
+// scoring O(prediction).
 type hybridEval struct {
 	a       *arch.Arch
 	problem *graph.Graph
@@ -200,7 +191,7 @@ type hybridEval struct {
 // scoreCheckpoint runs one ATA prediction from cp's mapping over want and
 // returns the selector cost F (§6.4), charging the budget with the
 // prediction's pattern cycles. ok=false means the pattern declined the
-// region (the checkpoint is skipped, matching the historical serial loop).
+// region (the checkpoint is skipped).
 // The score is independent of the cache's state: a cached grid choice
 // replays the same pattern the uncached dual prediction would pick.
 func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet, c *swapnet.PatternCache) (f float64, ok bool) {
@@ -216,58 +207,10 @@ func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet, c *sw
 	return selectorCost(h.opts, cycles, h.oCycles, cx, h.oCX, lf, h.oLF), true
 }
 
-// predictSerial is the Workers=1 engine: the original governed loop,
-// evaluating checkpoints in order (uncached unless a shared cache was
-// supplied — cached scores are identical by the scoreCheckpoint
-// contract). It doubles as the reference the determinism suite compares
-// the parallel engine against.
-func (h *hybridEval) predictSerial(cps []checkpoint, stats *Stats, cache *swapnet.PatternCache, parent *obs.Span) (best *candidate, dreason DegradeReason, err error) {
-	rec := h.rec
-	bestF := 1.0 // pure greedy: fD/oD = 1 and fidelity ratio = 1
-	for i := range cps {
-		if berr := h.bud.interrupt(); berr != nil {
-			if !degradable(berr) {
-				return nil, DegradeReason{}, berr
-			}
-			dreason = degradeReasonFor("best-so-far", berr, i, len(cps), h.bud, h.opts, rec)
-			break
-		}
-		cp := cps[i]
-		want := remainingAfterPrefix(h.problem, h.gates[:cp.prefixLen])
-		if want.Empty() {
-			continue
-		}
-		sp := rec.tr.StartSpan(parent, "predictATA",
-			obs.Int("prefix", cp.prefixLen), obs.Int("cycle", cp.cycle))
-		t0 := rec.clock.Now()
-		f, ok := h.scoreCheckpoint(cp, want, cache)
-		run := rec.clock.Now().Sub(t0)
-		sp.SetAttrs(obs.F64("cost", f), obs.Bool("scored", ok))
-		sp.End()
-		rec.tl.Checkpoints = append(rec.tl.Checkpoints, CheckpointTiming{
-			Prefix: cp.prefixLen, Cycle: cp.cycle, Run: run,
-			Cost: f, Scored: ok, Evaluated: true,
-		})
-		if !ok {
-			continue
-		}
-		stats.Predictions++
-		if f < bestF {
-			bestF = f
-			best = &candidate{cp: cp, f: f}
-		}
-	}
-	return best, dreason, nil
-}
-
 // finishCacheStats copies this compile's pattern-cache counter deltas
 // (relative to the cs0 snapshot taken when the compile began) onto the
-// stats and into the trace's metrics registry (nil cache = uncached
-// serial path, counters stay zero).
+// stats and into the trace's metrics registry.
 func finishCacheStats(stats *Stats, c *swapnet.PatternCache, cs0 swapnet.CacheStats, rec *recorder) {
-	if c == nil {
-		return
-	}
 	cs := c.Stats()
 	stats.CacheHits, stats.CacheMisses = cs.Hits-cs0.Hits, cs.Misses-cs0.Misses
 	met := rec.tr.Metrics()
@@ -276,16 +219,14 @@ func finishCacheStats(stats *Stats, c *swapnet.PatternCache, cs0 swapnet.CacheSt
 	met.Counter("cache.evictions").Add(cs.Evictions - cs0.Evictions)
 }
 
-// remainingAfterPrefix returns the problem edges not scheduled within the
-// given greedy gate prefix.
-func remainingAfterPrefix(problem *graph.Graph, prefix []circuit.Gate) *swapnet.EdgeSet {
-	want := swapnet.NewEdgeSet(problem)
-	for _, g := range prefix {
+// removeScheduled removes from want the problem edges that the given
+// greedy gates schedule.
+func removeScheduled(want *swapnet.EdgeSet, gates []circuit.Gate) {
+	for _, g := range gates {
 		if g.Kind == circuit.GateZZ || g.Kind == circuit.GateZZSwap {
 			want.Remove(g.Tag)
 		}
 	}
-	return want
 }
 
 // prediction aggregates the ATA completion estimate over the detected

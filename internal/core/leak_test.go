@@ -36,9 +36,11 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			// Workers > 1 forces the parallel prediction pool; unbounded
-			// budgets keep the fan-out alive until the cancel lands.
-			_, _ = CompileContext(ctx, a, problems[i%len(problems)], Options{Workers: 8})
+			// Alternate a pool of one (the served configuration) with a
+			// wide fan-out; unbounded budgets keep the pool alive until
+			// the cancel lands.
+			workers := []int{1, 8}[i%2]
+			_, _ = CompileContext(ctx, a, problems[i%len(problems)], Options{Workers: workers})
 		}()
 		// Stagger the cancel across the compile's lifetime so some land
 		// while the pool is mid-flight, some before it starts, some after
@@ -50,7 +52,7 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 
 	after := settledGoroutines()
 	// Allow a little runtime noise (finalizers, timer goroutines), but a
-	// leak of even a fraction of the 60*8 spawned workers blows past it.
+	// leak of even a fraction of the spawned workers blows past it.
 	if after > baseline+5 {
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)

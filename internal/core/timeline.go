@@ -24,12 +24,11 @@ type CheckpointTiming struct {
 	// Prefix and Cycle identify the checkpoint (see Stats.SelectedPrefix).
 	Prefix int `json:"prefix"`
 	Cycle  int `json:"cycle"`
-	// Worker is the 1-based pool worker that ran the prediction; 0 means
-	// the serial (Workers=1) engine.
+	// Worker is the 1-based pool worker that ran the prediction (≥1 for
+	// every worker count; Workers=1 is a pool of one).
 	Worker int `json:"worker"`
 	// Wait is the queue time between the job being fed to the pool and a
-	// worker picking it up (always 0 in the serial engine); Run is the
-	// prediction's own duration.
+	// worker picking it up; Run is the prediction's own duration.
 	Wait time.Duration `json:"waitNs"`
 	Run  time.Duration `json:"runNs"`
 	// Cost is the selector cost F the prediction produced; meaningful only

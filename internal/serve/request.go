@@ -40,8 +40,8 @@ type CompileRequest struct {
 	// is unbounded at low pressure).
 	MaxNodes int `json:"maxNodes,omitempty"`
 	// Workers bounds the hybrid prediction concurrency inside this one
-	// compile (0 = serial; the serving-level parallelism is the worker
-	// pool, so per-compile fan-out defaults off).
+	// compile (0 = one prediction worker; the serving-level parallelism is
+	// the worker pool, so per-compile fan-out defaults off).
 	Workers int `json:"workers,omitempty"`
 	// IncludeQASM returns the compiled circuit as OpenQASM 2.0 text.
 	IncludeQASM bool `json:"includeQasm,omitempty"`

@@ -67,6 +67,18 @@ func HexagonDevice(n int) *Device { return &Device{arch: arch.HexagonN(n)} }
 // MumbaiDevice returns the 27-qubit IBM Mumbai coupling map.
 func MumbaiDevice() *Device { return &Device{arch: arch.Mumbai()} }
 
+// DeviceFor returns the named family's device with at least n qubits:
+// "line", "grid", "sycamore", "heavy-hex" (or "heavyhex"), "hexagon", or
+// "mumbai" (fixed at 27 qubits; n is ignored). An unknown family or n < 1
+// is an error.
+func DeviceFor(family string, n int) (*Device, error) {
+	a, err := arch.ByFamily(family, n)
+	if err != nil {
+		return nil, err
+	}
+	return &Device{arch: a}, nil
+}
+
 // WithSyntheticNoise attaches a seeded synthetic calibration (IBM-like
 // error-rate magnitudes and variability) and returns the device.
 func (d *Device) WithSyntheticNoise(seed int64) *Device {

@@ -9,8 +9,10 @@ import (
 
 // Cache is a compilation cache shared across Compile calls: an in-memory
 // LRU of compiled results, optionally backed by a persistent on-disk
-// store, plus the structured-pattern geometry cache the hybrid strategy
-// warms as it compiles. Attach one via Options.Cache.
+// store, plus the in-process structured-pattern geometry cache the hybrid
+// strategy warms as it compiles. Only results are persisted; the pattern
+// geometry is recomputed by each process on first use. Attach one via
+// Options.Cache.
 //
 // Results are keyed by (architecture fingerprint, canonical problem-graph
 // hash, options digest): isomorphic problems share an entry, and a cached
@@ -40,7 +42,7 @@ func OpenCache(dir string, maxBytes int64) (*Cache, error) {
 }
 
 // MemoryCache returns a process-lifetime compilation cache with no disk
-// tier: results and warm pattern state are shared across compiles but
+// tier: results and pattern geometry are shared across compiles but
 // vanish with the process.
 func MemoryCache() *Cache {
 	return &Cache{inner: core.NewCache(cachestore.NewTiered(nil, 0))}

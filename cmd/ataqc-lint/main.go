@@ -38,7 +38,6 @@ import (
 
 	"github.com/ata-pattern/ataqc"
 	"github.com/ata-pattern/ataqc/internal/arch"
-	"github.com/ata-pattern/ataqc/internal/bench"
 	"github.com/ata-pattern/ataqc/internal/circuit"
 	"github.com/ata-pattern/ataqc/internal/verify"
 )
@@ -81,7 +80,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "ataqc-lint:", err)
 			return 2
 		}
-		dev, err := deviceFor(*family, prob.Qubits())
+		dev, err := ataqc.DeviceFor(*family, prob.Qubits())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ataqc-lint:", err)
 			return 2
@@ -108,7 +107,11 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "ataqc-lint:", parseErr)
 			return 1
 		}
-		a, err := archFor(*family, c.NQubits)
+		// The qreg of QASM emitted by this toolchain records the physical
+		// qubit count, so sizing the family to it reproduces the original
+		// device; a mismatch is reported by the arch-conformance analyzer
+		// rather than guessed away here.
+		a, err := arch.ByFamily(*family, c.NQubits)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ataqc-lint:", err)
 			return 2
@@ -218,34 +221,4 @@ func onlySema(diags []ataqc.Diagnostic, statuses []ataqc.AnalyzerStatus) ([]ataq
 		}
 	}
 	return d, s
-}
-
-// deviceFor sizes a public-API device for -problem mode.
-func deviceFor(family string, n int) (*ataqc.Device, error) {
-	switch family {
-	case "line":
-		return ataqc.LineDevice(n), nil
-	case "grid":
-		return ataqc.GridDevice(n), nil
-	case "sycamore":
-		return ataqc.SycamoreDevice(n), nil
-	case "heavy-hex", "heavyhex":
-		return ataqc.HeavyHexDevice(n), nil
-	case "hexagon":
-		return ataqc.HexagonDevice(n), nil
-	case "mumbai":
-		return ataqc.MumbaiDevice(), nil
-	}
-	return nil, fmt.Errorf("unknown architecture family %q", family)
-}
-
-// archFor sizes a coupling graph for -qasm mode. The qreg of QASM emitted
-// by this toolchain records the physical qubit count, so sizing the family
-// to it reproduces the original device; a mismatch is reported by the
-// arch-conformance analyzer rather than guessed away here.
-func archFor(family string, n int) (*arch.Arch, error) {
-	if family == "mumbai" {
-		return arch.Mumbai(), nil
-	}
-	return bench.ArchFor(family, n)
 }

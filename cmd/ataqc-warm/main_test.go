@@ -2,7 +2,12 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
@@ -12,13 +17,14 @@ import (
 )
 
 // TestWarmSweepPopulatesCache runs the sweeper end to end against a
-// temporary cache directory and proves a fresh daemon-side cache
-// actually benefits: pattern records preload, and the precompiled
-// workload problem is answered from the disk tier.
+// temporary cache directory and proves a fresh daemon-side cache actually
+// benefits: the precompiled workload problem is answered from the disk
+// tier, and the directory holds result entries only.
 func TestWarmSweepPopulatesCache(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 0, "line,grid", "9,12", 4, 0, "../../examples/workloads/repeat-heavy.yaml"); err != nil {
-		t.Fatalf("run: %v", err)
+	var log strings.Builder
+	if code := runCLI([]string{"-cache-dir", dir, "-workload", "../../examples/workloads/repeat-heavy.yaml"}, &log); code != 0 {
+		t.Fatalf("exit %d: %s", code, log.String())
 	}
 
 	store, err := cachestore.Open(dir, 0)
@@ -27,13 +33,30 @@ func TestWarmSweepPopulatesCache(t *testing.T) {
 	}
 	cache := core.NewCache(cachestore.NewTiered(store, 0))
 	defer cache.Close()
-
-	a := arch.GridN(9)
-	if n := cache.PreloadPatterns(a); n == 0 {
-		t.Fatalf("no pattern records preloaded for %s", a.Name)
+	entries := 0
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".e") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		k, _, err := cachestore.DecodeEntry(b)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if k.Kind != cachestore.KindResult {
+			return fmt.Errorf("%s: kind %d entry, want results only", path, k.Kind)
+		}
+		entries++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(store.Keys(cachestore.KindSolver, arch.Line(3).Fingerprint())); got != 1 {
-		t.Fatalf("solver records for line-3 = %d, want 1", got)
+	if entries == 0 {
+		t.Fatal("sweep wrote no entries")
 	}
 
 	// The repeat-heavy spec's hot problem (grid 16, density 0.4, seed 3)
@@ -46,5 +69,29 @@ func TestWarmSweepPopulatesCache(t *testing.T) {
 	}
 	if res.Stats.CacheTier != string(cachestore.TierDisk) {
 		t.Fatalf("hot problem served from tier %q, want disk", res.Stats.CacheTier)
+	}
+}
+
+// TestWarmUsageErrors: -cache-dir and -workload are both required, the
+// retired pattern/solver sweep flags are rejected as unknown, and a
+// workload that cannot be loaded fails the run without a usage error;
+// -h exits 0.
+func TestWarmUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-cache-dir", dir}, 2},
+		{[]string{"-workload", "../../examples/workloads/repeat-heavy.yaml"}, 2},
+		{[]string{"-cache-dir", dir, "-workload", "x.yaml", "-archs", "grid"}, 2},
+		{[]string{"-cache-dir", dir, "-workload", "x.yaml", "-solver-max-qubits", "4"}, 2},
+		{[]string{"-cache-dir", dir, "-workload", filepath.Join(dir, "missing.yaml")}, 1},
+		{[]string{"-h"}, 0},
+	} {
+		var log strings.Builder
+		if code := runCLI(tc.args, &log); code != tc.code {
+			t.Errorf("ataqc-warm %v: exit %d, want %d (%s)", tc.args, code, tc.code, log.String())
+		}
 	}
 }

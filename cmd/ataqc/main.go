@@ -83,22 +83,9 @@ func main() {
 		prob = ataqc.RandomProblem(*n, *density, *seed)
 	}
 
-	var dev *ataqc.Device
-	switch *family {
-	case "line":
-		dev = ataqc.LineDevice(*n)
-	case "grid":
-		dev = ataqc.GridDevice(*n)
-	case "sycamore":
-		dev = ataqc.SycamoreDevice(*n)
-	case "heavy-hex", "heavyhex":
-		dev = ataqc.HeavyHexDevice(*n)
-	case "hexagon":
-		dev = ataqc.HexagonDevice(*n)
-	case "mumbai":
-		dev = ataqc.MumbaiDevice()
-	default:
-		log.Fatalf("unknown architecture %q", *family)
+	dev, err := ataqc.DeviceFor(*family, *n)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *noisy {
 		dev = dev.WithSyntheticNoise(*seed)

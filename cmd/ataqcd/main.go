@@ -67,8 +67,9 @@ func main() {
 	flag.Parse()
 	// The daemon always compiles through a cache: memory-only by default
 	// (repeat submissions of the same problem are served from RAM), plus a
-	// persistent disk tier when -cache-dir is given so warm state survives
-	// restarts and ataqc-warm precomputation pays off.
+	// persistent disk tier of compiled results when -cache-dir is given, so
+	// results survive restarts and results precompiled by ataqc-warm are
+	// served on first touch.
 	var cache *ataqc.Cache
 	if *cacheDir != "" {
 		var err error

@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,10 +38,8 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *traceFmt {
-	case "chrome", "jsonl", "text":
-	default:
-		log.Fatalf("unknown -trace-format %q (want chrome, jsonl, or text)", *traceFmt)
+	if !slices.Contains(obs.Formats, *traceFmt) {
+		log.Fatalf("unknown -trace-format %q (want one of %v)", *traceFmt, obs.Formats)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -137,16 +136,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var werr error
-		switch *traceFmt {
-		case "chrome":
-			werr = cfg.Trace.WriteChrome(f)
-		case "jsonl":
-			werr = cfg.Trace.WriteJSONL(f)
-		default:
-			werr = cfg.Trace.WriteText(f)
-		}
-		if werr != nil {
+		if werr := cfg.Trace.WriteFormat(f, *traceFmt); werr != nil {
 			log.Fatal(werr)
 		}
 		if err := f.Close(); err != nil {

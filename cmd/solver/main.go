@@ -15,9 +15,9 @@ import (
 	"log"
 	"os"
 	"runtime/pprof"
+	"slices"
 
 	"github.com/ata-pattern/ataqc/internal/arch"
-	"github.com/ata-pattern/ataqc/internal/bench"
 	"github.com/ata-pattern/ataqc/internal/graph"
 	"github.com/ata-pattern/ataqc/internal/obs"
 	"github.com/ata-pattern/ataqc/internal/solver"
@@ -32,7 +32,6 @@ func main() {
 		maxNodes  = flag.Int("maxnodes", 1<<22, "search node budget (negative = unbounded, e.g. -maxnodes -1)")
 		symmetry  = flag.Bool("symmetry", false, "canonicalize states under line/grid automorphisms (same optimal depth, smaller search)")
 		reference = flag.Bool("reference", false, "use the pre-optimization reference engine (slow; for comparisons)")
-		benchJSON = flag.String("bench-json", "", "also write the run as a BENCH_solver.json-schema record to this file")
 		timeout   = flag.Duration("timeout", 0, "wall-clock search budget, e.g. 30s (0 = unbounded)")
 		traceOut  = flag.String("trace", "", "record the search's execution trace (solver.astar span, explored/open/closed metrics) to this file")
 		traceFmt  = flag.String("trace-format", "chrome", "trace format: chrome (load in ui.perfetto.dev), jsonl, or text")
@@ -40,9 +39,8 @@ func main() {
 	)
 	flag.Parse()
 
-	writeTrace := traceWriterFor(*traceFmt)
-	if writeTrace == nil {
-		log.Fatalf("unknown -trace-format %q (want chrome, jsonl, or text)", *traceFmt)
+	if !slices.Contains(obs.Formats, *traceFmt) {
+		log.Fatalf("unknown -trace-format %q (want one of %v)", *traceFmt, obs.Formats)
 	}
 
 	// Flag values reach architecture constructors that treat bad sizes as
@@ -66,7 +64,6 @@ func main() {
 
 	n := a.N()
 	var p *graph.Graph
-	instance := "clique"
 	if *bipartite {
 		if *family != "grid" || *rows != 2 {
 			log.Fatal("-bipartite requires -arch grid -rows 2")
@@ -77,7 +74,6 @@ func main() {
 				p.AddEdge(i, j)
 			}
 		}
-		instance = "bipartite"
 	} else {
 		p = graph.Complete(n)
 	}
@@ -118,7 +114,7 @@ func main() {
 		if ferr != nil {
 			log.Fatal(ferr)
 		}
-		if werr := writeTrace(tr, f); werr != nil {
+		if werr := tr.WriteFormat(f, *traceFmt); werr != nil {
 			log.Fatal(werr)
 		}
 		if cerr := f.Close(); cerr != nil {
@@ -149,39 +145,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *benchJSON != "" {
-		engine := bench.SolverEnginePacked
-		if *reference {
-			engine = bench.SolverEngineReference
-		} else if *symmetry {
-			engine = bench.SolverEnginePackedSym
-		}
-		doc := &bench.SolverBench{Entries: []bench.SolverBenchEntry{
-			bench.SolverEntryFor(fmt.Sprintf("%s/%s", a.Name, instance), a, p, engine, res),
-		}}
-		f, ferr := os.Create(*benchJSON)
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		if werr := doc.WriteJSON(f); werr != nil {
-			log.Fatal(werr)
-		}
-		if cerr := f.Close(); cerr != nil {
-			log.Fatal(cerr)
-		}
-		fmt.Fprintf(os.Stderr, "bench record: %s\n", *benchJSON)
-	}
-}
-
-// traceWriterFor maps a -trace-format value to an exporter (nil = unknown).
-func traceWriterFor(format string) func(*obs.Trace, *os.File) error {
-	switch format {
-	case "chrome":
-		return func(t *obs.Trace, f *os.File) error { return t.WriteChrome(f) }
-	case "jsonl":
-		return func(t *obs.Trace, f *os.File) error { return t.WriteJSONL(f) }
-	case "text":
-		return func(t *obs.Trace, f *os.File) error { return t.WriteText(f) }
-	}
-	return nil
 }

@@ -154,29 +154,6 @@ func CompileWithOptions(method string, a *arch.Arch, p *graph.Graph, nm *noise.M
 	}, nil
 }
 
-// ArchFor returns the minimum near-square architecture of the given family
-// that fits n logical qubits (§7.1). The family name reaches this function
-// from CLI flags, so an unknown one is a returned error, not a panic.
-func ArchFor(family string, n int) (*arch.Arch, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("bench: architecture needs at least 1 qubit, got %d", n)
-	}
-	switch family {
-	case "heavy-hex", "heavyhex":
-		return arch.HeavyHexN(n), nil
-	case "sycamore":
-		return arch.SycamoreN(n), nil
-	case "grid":
-		return arch.GridN(n), nil
-	case "hexagon":
-		return arch.HexagonN(n), nil
-	case "line":
-		return arch.Line(n), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown architecture family %q", family)
-	}
-}
-
 // Workload describes one benchmark graph family instance.
 type Workload struct {
 	Name   string

@@ -13,7 +13,7 @@ import (
 func tinyConfig() Config { return Config{Quick: true, Trials: 1, Seed: 1} }
 
 func TestCompileWithAllMethods(t *testing.T) {
-	a, err := ArchFor("heavy-hex", 16)
+	a, err := arch.ByFamily("heavy-hex", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,24 +29,6 @@ func TestCompileWithAllMethods(t *testing.T) {
 	}
 	if _, err := CompileWith("nope", a, w.Graphs[0], nil); err == nil {
 		t.Fatal("unknown method accepted")
-	}
-}
-
-func TestArchForFamilies(t *testing.T) {
-	for _, f := range []string{"heavy-hex", "sycamore", "grid", "hexagon", "line"} {
-		a, err := ArchFor(f, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.N() < 30 {
-			t.Fatalf("%s: %d qubits", f, a.N())
-		}
-	}
-	if _, err := ArchFor("torus", 30); err == nil {
-		t.Fatal("unknown family accepted")
-	}
-	if _, err := ArchFor("grid", 0); err == nil {
-		t.Fatal("zero-qubit architecture accepted")
 	}
 }
 

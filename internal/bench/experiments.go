@@ -79,7 +79,7 @@ func RunFig17(cfg Config) (*Report, error) {
 	for _, family := range []string{"heavy-hex", "sycamore"} {
 		for _, density := range []float64{0.1, 0.3} {
 			for _, n := range sizes {
-				a, err := ArchFor(family, n)
+				a, err := arch.ByFamily(family, n)
 				if err != nil {
 					return nil, err
 				}
@@ -126,7 +126,7 @@ func RunDepthGate(cfg Config, family string) (*Report, error) {
 	for _, kind := range []string{"rand", "reg"} {
 		for _, density := range []float64{0.3, 0.5} {
 			for _, n := range sizes {
-				a, err := ArchFor(family, n)
+				a, err := arch.ByFamily(family, n)
 				if err != nil {
 					return nil, err
 				}
@@ -172,7 +172,7 @@ func RunTable1(cfg Config) (*Report, error) {
 	for _, family := range []string{"heavy-hex", "sycamore"} {
 		for _, density := range []float64{0.3, 0.5} {
 			for _, n := range sizes {
-				a, err := ArchFor(family, n)
+				a, err := arch.ByFamily(family, n)
 				if err != nil {
 					return nil, err
 				}
@@ -233,7 +233,7 @@ func RunTable2(cfg Config) (*Report, error) {
 		regularDegreeWorkload(n, deg2, trials, cfg.Seed+3),
 	}
 	for _, family := range []string{"heavy-hex", "sycamore"} {
-		a, err := ArchFor(family, n)
+		a, err := arch.ByFamily(family, n)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func RunTable3(cfg Config) (*Report, error) {
 		Title:  "2-local Hamiltonian at IBM heavy-hex: Ours vs 2QAN",
 		Header: []string{"benchmark", "depth ours", "depth 2qan", "CX ours", "CX 2qan"},
 	}
-	a, err := ArchFor("heavy-hex", 64)
+	a, err := arch.ByFamily("heavy-hex", 64)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +473,7 @@ func RunCompileTime(cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, n := range sizes {
 		p := graph.GnpConnected(n, 0.3, rng)
-		a, err := ArchFor("heavy-hex", n)
+		a, err := arch.ByFamily("heavy-hex", n)
 		if err != nil {
 			return nil, err
 		}

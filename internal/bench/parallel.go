@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/core"
 	"github.com/ata-pattern/ataqc/internal/graph"
 )
@@ -83,7 +84,7 @@ func RunHybridBench(cfg HybridBenchConfig) (*HybridBench, error) {
 	}
 	out := &HybridBench{GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: []int{1, 8}}
 	for _, c := range cells {
-		a, err := ArchFor(c.family, c.n)
+		a, err := arch.ByFamily(c.family, c.n)
 		if err != nil {
 			return nil, err
 		}

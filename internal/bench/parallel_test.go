@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"github.com/ata-pattern/ataqc/internal/arch"
 	"github.com/ata-pattern/ataqc/internal/core"
 	"github.com/ata-pattern/ataqc/internal/graph"
 )
@@ -46,7 +47,7 @@ func TestHybridBenchRegression(t *testing.T) {
 
 // benchCompile is the shared body of the Benchmark* pair below.
 func benchCompile(b *testing.B, workers int) {
-	a, err := ArchFor("grid", 64)
+	a, err := arch.ByFamily("grid", 64)
 	if err != nil {
 		b.Fatal(err)
 	}

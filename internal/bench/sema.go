@@ -33,7 +33,7 @@ func RunSemaAudit(cfg Config) (*Report, error) {
 		for _, family := range []string{"heavy-hex", "sycamore"} {
 			for _, density := range []float64{0.3, 0.5} {
 				for _, n := range sizes {
-					a, err := ArchFor(family, n)
+					a, err := arch.ByFamily(family, n)
 					if err != nil {
 						return nil, err
 					}

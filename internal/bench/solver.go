@@ -108,9 +108,8 @@ func solverInstances(quick bool) []solverInstance {
 	return out
 }
 
-// SolverEntryFor builds one benchmark record from a finished solve — shared
-// with cmd/solver's -bench-json flag so one-off runs emit the same schema.
-func SolverEntryFor(instance string, a *arch.Arch, p *graph.Graph, engine string, res *solver.Result) SolverBenchEntry {
+// solverEntryFor builds one benchmark record from a finished solve.
+func solverEntryFor(instance string, a *arch.Arch, p *graph.Graph, engine string, res *solver.Result) SolverBenchEntry {
 	nps := 0.0
 	if sec := res.Elapsed.Seconds(); sec > 0 {
 		nps = float64(res.Explored) / sec
@@ -185,7 +184,7 @@ func RunSolverBench(cfg SolverBenchConfig) (*SolverBench, error) {
 					best = res
 				}
 			}
-			e := SolverEntryFor(inst.name, inst.a, inst.p, eng.label, best)
+			e := solverEntryFor(inst.name, inst.a, inst.p, eng.label, best)
 			if depth == -1 {
 				depth = e.Depth
 			} else if e.Depth != depth {

@@ -91,9 +91,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // replayIndex rebuilds the entry table from the journal. It returns
 // false when the journal is absent or unusable; a torn final line (a
 // crash mid-append) is tolerated by ignoring unparsable lines.
@@ -370,22 +367,6 @@ func (s *Store) journalLocked(line string) {
 	if _, err := s.index.WriteString(line); err == nil {
 		_ = s.index.Sync()
 	}
-}
-
-// Keys lists the stored keys for one (kind, arch) pair in recency order,
-// most recent first — the warm-boot path uses it to preload every
-// pattern record of an architecture.
-func (s *Store) Keys(kind Kind, archFP uint64) []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Key
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		m := el.Value.(*diskMeta)
-		if m.key.Kind == kind && m.key.Arch == archFP {
-			out = append(out, m.key)
-		}
-	}
-	return out
 }
 
 // Stats snapshots the disk-tier counters.

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/ata-pattern/ataqc/internal/arch"
 )
 
 func testKey(i byte) Key {
@@ -179,33 +177,6 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
-func TestStoreKeysFilters(t *testing.T) {
-	s, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var h [32]byte
-	if err := s.Put(ResultKey(1, h, 0), []byte("r")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(PatternKey(1, arch.Region{U0: 0, U1: 1}), []byte("p1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(PatternKey(1, arch.Region{U0: 2, U1: 3}), []byte("p2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(PatternKey(2, arch.Region{U0: 0, U1: 1}), []byte("other-arch")); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Keys(KindPattern, 1)); got != 2 {
-		t.Fatalf("Keys(pattern, arch 1) = %d entries, want 2", got)
-	}
-	if got := len(s.Keys(KindResult, 1)); got != 1 {
-		t.Fatalf("Keys(result, arch 1) = %d entries, want 1", got)
-	}
-}
-
 func TestStoreTornJournalRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
@@ -230,6 +201,39 @@ func TestStoreTornJournalRecovers(t *testing.T) {
 	defer s2.Close()
 	if _, ok := s2.Get(testKey(1)); !ok {
 		t.Fatal("entry lost after torn journal line")
+	}
+}
+
+// TestStoreRescansClobberedJournal: an empty journal over a directory that
+// still holds entry files means the journal was clobbered, so Open must
+// rebuild the table from the files instead of starting empty.
+func TestStoreRescansClobberedJournal(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(0); i < 3; i++ {
+		if err := s.Put(testKey(i), []byte{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	if err := os.Truncate(filepath.Join(dir, indexName), 0); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Stats().Entries; got != 3 {
+		t.Fatalf("entries after clobbered journal = %d, want 3", got)
+	}
+	for i := byte(0); i < 3; i++ {
+		if got, ok := s2.Get(testKey(i)); !ok || len(got) != 1 || got[0] != i {
+			t.Fatalf("entry %d after rescan = %v, %v", i, got, ok)
+		}
 	}
 }
 

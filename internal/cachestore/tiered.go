@@ -56,9 +56,6 @@ func NewTiered(disk *Store, memEntries int) *Tiered {
 	}
 }
 
-// Disk exposes the persistent tier (nil when memory-only).
-func (t *Tiered) Disk() *Store { return t.disk }
-
 // Get returns the payload for k and the tier that answered. The returned
 // slice is shared with the cache: callers must treat it as read-only.
 func (t *Tiered) Get(k Key) ([]byte, Tier, bool) {

@@ -350,15 +350,23 @@ func TestCompileCachedSurvivesCorruptEntry(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	var ps []*graph.Graph
+	var keys []cachestore.Key
 	for i := 0; i < 3; i++ {
 		p := graph.GnpConnected(10, 0.5, rng)
 		ps = append(ps, p)
 		if _, err := CompileCached(ctx, a, p, Options{Workers: 1}, cache); err != nil {
 			t.Fatal(err)
 		}
+		opts := Options{Workers: 1}
+		opts.applyDefaults()
+		_, hash := graph.CanonicalForm(p)
+		keys = append(keys, cachestore.ResultKey(a.Fingerprint(), hash, optionsDigest(a, &opts)))
 	}
 	// Evict mem (cap 2) then corrupt every on-disk entry.
-	for _, k := range store.Keys(cachestore.KindResult, a.Fingerprint()) {
+	for _, k := range keys {
+		if _, ok := store.Get(k); !ok {
+			t.Fatal("compiled result missing from the disk tier")
+		}
 		if err := store.Put(k, []byte("rotten")); err != nil {
 			t.Fatal(err)
 		}

@@ -93,10 +93,10 @@ type Options struct {
 	// PatternCache, when non-nil, is a pattern cache shared across
 	// compilations (typically owned by a core.Cache): the prediction loop,
 	// materialisation, and pure-ATA replay all consult it instead of a
-	// per-compile cache. Sharing is output-safe — cached entries replay
-	// exactly what an uncached run computes (see scoreCheckpoint) — so the
+	// per-compile cache. Sharing is output-safe — a cached entry replays
+	// exactly what a fresh run computes (see scoreCheckpoint) — so the
 	// compiled circuit is byte-identical with or without it. Nil gives the
-	// compile a private pattern cache of its own.
+	// compile a pattern cache of its own.
 	PatternCache *swapnet.PatternCache
 }
 
@@ -248,6 +248,9 @@ func CompileContext(ctx context.Context, a *arch.Arch, problem *graph.Graph, opt
 		}
 	}()
 	opts.applyDefaults()
+	if opts.PatternCache == nil {
+		opts.PatternCache = swapnet.NewPatternCache(0)
+	}
 	rootAttrs := []obs.Attr{
 		obs.Str("mode", opts.Mode.String()),
 		obs.Int("qubits", a.N()),
@@ -320,10 +323,27 @@ func CompileContext(ctx context.Context, a *arch.Arch, problem *graph.Graph, opt
 	rec.tr.Metrics().Gauge("budget.work_units").Set(res.Stats.WorkUnits)
 	vp := rec.phase("verify")
 	res.Metrics = Measure(res.Circuit, opts.Noise)
-	// Static verification (internal/verify): the error-severity analyzers
-	// are the compiler's output contract — a circuit that fails them is a
-	// compiler bug and must not escape. Options.Verify widens the pass to
-	// the warning lints and records everything on the Result.
+	vErr := strictVerify(res, a, problem, opts)
+	vp.end()
+	if vErr != nil {
+		return nil, fmt.Errorf("core: produced invalid circuit: %w", vErr)
+	}
+	rec.root.SetAttrs(obs.Str("source", res.Source), obs.Int("depth", res.Metrics.Depth))
+	elapsed := rec.clock.Now().Sub(start)
+	res.Metrics.CompileTime = elapsed
+	res.Stats.Elapsed = elapsed
+	rec.tl.Winner = res.Source
+	res.Timeline = rec.tl
+	return res, nil
+}
+
+// strictVerify runs the static verification (internal/verify) every
+// circuit must clear before it is returned, fresh or cached: the
+// error-severity analyzers are the compiler's output contract — a circuit
+// that fails them is a compiler bug or a damaged cache entry and must not
+// escape. Options.Verify widens the pass to the warning lints and records
+// every diagnostic on res. The returned error is the analyzers' verdict.
+func strictVerify(res *Result, a *arch.Arch, problem *graph.Graph, opts Options) error {
 	pass := &verify.Pass{
 		Circuit:       res.Circuit,
 		Arch:          a,
@@ -342,17 +362,7 @@ func CompileContext(ctx context.Context, a *arch.Arch, problem *graph.Graph, opt
 	if opts.Verify {
 		res.Diagnostics = diags
 	}
-	vp.end()
-	if vErr := verify.AsError(diags); vErr != nil {
-		return nil, fmt.Errorf("core: produced invalid circuit: %w", vErr)
-	}
-	rec.root.SetAttrs(obs.Str("source", res.Source), obs.Int("depth", res.Metrics.Depth))
-	elapsed := rec.clock.Now().Sub(start)
-	res.Metrics.CompileTime = elapsed
-	res.Stats.Elapsed = elapsed
-	rec.tl.Winner = res.Source
-	res.Timeline = rec.tl
-	return res, nil
+	return verify.AsError(diags)
 }
 
 // interruptOf adapts the budget into the greedy scheduler's Interrupt hook,
@@ -427,9 +437,9 @@ func compileATA(a *arch.Arch, problem *graph.Graph, initial []int, opts Options,
 }
 
 // runATARegions detects the interaction regions of the remaining problem
-// (§6.3) and runs the structured pattern inside each, appending to b. A
-// non-nil pattern cache memoises the pattern work (the hybrid engine shares
-// one between its prediction workers and materialisation, so the winning
+// (§6.3) and runs the structured pattern inside each, appending to b. The
+// pattern cache memoises the pattern work (the hybrid engine shares one
+// between its prediction workers and materialisation, so the winning
 // candidate's ATA suffix replays the choices it already scored), and each
 // region's pattern build gets an "ata.region" span under parent (nil trace
 // = no spans).
@@ -479,13 +489,9 @@ func builderEmit(b *circuit.Builder, angle float64) swapnet.EmitFunc {
 // sorted order: component discovery iterates a map, and the emission order
 // is observable (the snake fallback of a grid region can touch qubits
 // outside the region), so without the sort two identical compilations could
-// emit different — equally valid — circuits. A non-nil cache memoises the
+// emit different — equally valid — circuits. The cache memoises the
 // NormalizeRegion calls.
 func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
-	normalize := swapnet.NormalizeRegion
-	if c != nil {
-		normalize = c.NormalizeRegion
-	}
 	edges := st.Want.Edges()
 	if len(edges) == 0 {
 		return nil
@@ -502,7 +508,7 @@ func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
 	var regions []arch.Region
 	//vet:ignore maprange regions are sorted (sortRegions) before any order-sensitive use
 	for _, phys := range compPhys {
-		regions = append(regions, normalize(st.A, arch.EnclosingRegion(st.A, phys)))
+		regions = append(regions, c.NormalizeRegion(st.A, arch.EnclosingRegion(st.A, phys)))
 	}
 	sortRegions(regions)
 	// Merge overlaps to a fixpoint.
@@ -511,7 +517,7 @@ func detectRegions(st *swapnet.State, c *swapnet.PatternCache) []arch.Region {
 		for i := 0; i < len(regions) && !merged; i++ {
 			for j := i + 1; j < len(regions); j++ {
 				if regions[i].Overlaps(regions[j]) {
-					regions[i] = normalize(st.A, regions[i].Union(regions[j]))
+					regions[i] = c.NormalizeRegion(st.A, regions[i].Union(regions[j]))
 					regions = append(regions[:j], regions[j+1:]...)
 					merged = true
 					break

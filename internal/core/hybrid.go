@@ -109,13 +109,9 @@ func compileHybrid(a *arch.Arch, problem *graph.Graph, initial []int, opts Optio
 		best    *candidate
 		dreason DegradeReason
 	)
-	// A caller-supplied cache (CompileCached's warm pattern cache) is
-	// shared across compiles; otherwise the compile gets its own. cs0
-	// snapshots the counters so shared caches report per-compile deltas.
+	// The pattern cache may be shared across compiles (CompileCached's),
+	// so cs0 snapshots the counters to report per-compile deltas.
 	cache := opts.PatternCache
-	if cache == nil {
-		cache = swapnet.NewPatternCache(0)
-	}
 	cs0 := cache.Stats()
 	pph := rec.phase("predict")
 	obs.PhaseLabel(bud.ctx, "predict", func(context.Context) {
@@ -193,7 +189,7 @@ type hybridEval struct {
 // prediction's pattern cycles. ok=false means the pattern declined the
 // region (the checkpoint is skipped).
 // The score is independent of the cache's state: a cached grid choice
-// replays the same pattern the uncached dual prediction would pick.
+// replays the same pattern a fresh dual prediction would pick.
 func (h *hybridEval) scoreCheckpoint(cp checkpoint, want *swapnet.EdgeSet, c *swapnet.PatternCache) (f float64, ok bool) {
 	st := swapnet.NewStateFromMapping(h.a, cp.l2p, want)
 	pc, err := predictATA(st, h.opts, c)
@@ -243,7 +239,7 @@ func predictATA(st *swapnet.State, opts Options, c *swapnet.PatternCache) (predi
 	for _, r := range detectRegions(st, c) {
 		var cnt predictCounter
 		cnt.opts = &opts
-		if err := swapnet.ATAWithCache(st, r, cnt.emit, c); err != nil {
+		if err := swapnet.ATA(st, r, cnt.emit, c); err != nil {
 			return out, err
 		}
 		if cnt.cycles > out.cycles {
@@ -255,7 +251,7 @@ func predictATA(st *swapnet.State, opts Options, c *swapnet.PatternCache) (predi
 	if !st.Want.Empty() {
 		var cnt predictCounter
 		cnt.opts = &opts
-		if err := swapnet.ATAWithCache(st, arch.FullRegion(st.A), cnt.emit, c); err != nil {
+		if err := swapnet.ATA(st, arch.FullRegion(st.A), cnt.emit, c); err != nil {
 			return out, err
 		}
 		out.cycles += cnt.cycles

@@ -19,7 +19,7 @@ import (
 //     scans the slots in ascending checkpoint order with a strict-less
 //     comparison, so ties break identically for any worker count;
 //   - scores themselves are cache-independent — a cached grid choice
-//     replays exactly the pattern the uncached dual prediction picks;
+//     replays exactly the pattern a fresh dual prediction picks;
 //   - budget charges are commutative atomic adds, so the WorkUnits total
 //     is the same whenever every checkpoint is evaluated.
 //

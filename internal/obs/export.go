@@ -39,6 +39,23 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
+// Formats lists the export formats WriteFormat accepts.
+var Formats = []string{"chrome", "jsonl", "text"}
+
+// WriteFormat exports the trace in the named format, one of Formats:
+// "chrome" (WriteChrome), "jsonl" (WriteJSONL) or "text" (WriteText).
+func (t *Trace) WriteFormat(w io.Writer, format string) error {
+	switch format {
+	case "chrome":
+		return t.WriteChrome(w)
+	case "jsonl":
+		return t.WriteJSONL(w)
+	case "text":
+		return t.WriteText(w)
+	}
+	return fmt.Errorf("obs: unknown trace format %q (want one of %v)", format, Formats)
+}
+
 // WriteChrome exports the trace as Chrome trace_event JSON — load the file
 // in chrome://tracing or ui.perfetto.dev. Spans become complete ("X")
 // events, instant events "i" markers, and every counter/gauge one final

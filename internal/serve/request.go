@@ -219,18 +219,6 @@ func (req *CompileRequest) build(maxQubits int) (*ataqc.Device, *ataqc.Problem, 
 
 func (req *CompileRequest) device(n int) (*ataqc.Device, error) {
 	switch req.Arch {
-	case "line":
-		return ataqc.LineDevice(n), nil
-	case "grid":
-		return ataqc.GridDevice(n), nil
-	case "sycamore":
-		return ataqc.SycamoreDevice(n), nil
-	case "heavy-hex", "heavyhex":
-		return ataqc.HeavyHexDevice(n), nil
-	case "hexagon":
-		return ataqc.HexagonDevice(n), nil
-	case "mumbai":
-		return ataqc.MumbaiDevice(), nil
 	case "custom":
 		if len(req.Couplings) == 0 {
 			return nil, errInvalid("custom architecture requires couplings")
@@ -245,9 +233,12 @@ func (req *CompileRequest) device(n int) (*ataqc.Device, error) {
 		return dev, nil
 	case "":
 		return nil, errInvalid("arch is required")
-	default:
-		return nil, errInvalid("unknown architecture %q", req.Arch)
 	}
+	dev, err := ataqc.DeviceFor(req.Arch, n)
+	if err != nil {
+		return nil, errInvalid("%v", err)
+	}
+	return dev, nil
 }
 
 // parseChaos validates a chaos directive, returning the sleep duration for

@@ -72,26 +72,18 @@ func unitLen(a *arch.Arch) int {
 // The worst case — a clique over the region — finishes in O(|region|)
 // cycles; sparser want sets finish earlier because empty compute layers and
 // exhausted phases are skipped (§5.2).
-func ATA(st *State, region arch.Region, emit EmitFunc) error {
-	return ATAWithCache(st, region, emit, nil)
-}
-
-// ATAWithCache is ATA accelerated by a PatternCache: region geometry is
-// memoised, and on grids the dual prediction (unit-structured vs snake) is
-// run once per distinct (region, mapping, want) state — the clone runs'
-// recorded steps are replayed for the winner instead of executing the
-// pattern a third time, and a repeat invocation from the same state (the
-// hybrid compiler re-materialises the winning candidate it already scored)
-// runs only the winning pattern. The emitted step sequence is identical to
-// ATA's for every input; a nil cache is exactly ATA.
-func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache) error {
-	var ri *regionInfo
-	if c != nil {
-		ri = c.structural(st.A, region)
-		region = ri.norm
-	} else {
-		region = NormalizeRegion(st.A, region)
-	}
+//
+// Every run goes through the pattern cache c: region geometry is memoised,
+// and on grids the dual prediction (unit-structured vs snake) runs once per
+// distinct (region, mapping, want) state — the clone runs' recorded steps
+// are replayed for the winner instead of executing the pattern a third
+// time, and a repeat invocation from the same state (the hybrid compiler
+// re-materialises the winning candidate it already scored) runs only the
+// winning pattern. The emitted steps depend on the inputs alone, never on
+// what c already holds.
+func ATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) error {
+	ri := c.structural(st.A, region)
+	region = ri.norm
 	switch st.A.Kind {
 	case arch.KindLine:
 		i0, i1 := region.I0, region.I1
@@ -109,20 +101,7 @@ func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache)
 		// shape and want density (the snake is all unified ops, the
 		// structured one parallelises bipartite layers). Predict both on
 		// clones and emit the cheaper (cycle depth, then CX).
-		if c != nil {
-			gridATACached(st, ri, emit, c)
-			return nil
-		}
-		var cg, cs Counter
-		stG := st.Clone()
-		gridATA(stG, region, cg.Emit, nil)
-		stS := st.Clone()
-		snakeATA(stS, region, cs.Emit, nil)
-		if snakeBeatsGrid(stG, stS, cg, cs) {
-			snakeATA(st, region, emit, nil)
-		} else {
-			gridATA(st, region, emit, nil)
-		}
+		gridDualATA(st, ri, emit, c)
 	case arch.KindSycamore:
 		sycamoreATA(st, region, emit)
 	case arch.KindHexagon:
@@ -130,7 +109,7 @@ func ATAWithCache(st *State, region arch.Region, emit EmitFunc, c *PatternCache)
 	case arch.KindHeavyHex:
 		heavyHexATA(st, region, emit)
 	case arch.KindLattice3D:
-		snakeATA(st, region, emit, c)
+		snakeATA(st, ri, emit)
 	default:
 		return fmt.Errorf("swapnet: no structured pattern for %s architecture", st.A.Kind)
 	}
@@ -145,52 +124,50 @@ func snakeBeatsGrid(stG, stS *State, cg, cs Counter) bool {
 		(cs.Cycles == cg.Cycles && cs.CX < cg.CX))
 }
 
-// gridATACached runs the grid dual prediction through the cache: a choice
+// gridDualATA runs the grid dual prediction through the cache: a choice
 // hit executes only the winning pattern; a miss predicts both on clones
 // (recording steps), adopts the winner's final state, replays its steps,
-// and memoises the decision with its counts.
-func gridATACached(st *State, ri *regionInfo, emit EmitFunc, c *PatternCache) {
+// and memoises the decision.
+func gridDualATA(st *State, ri *regionInfo, emit EmitFunc, c *PatternCache) {
 	fp := st.A.Fingerprint()
 	occ, want := ri.stateHash(st)
-	if ch, ok := c.choiceGet(fp, ri.norm, occ, want); ok {
-		if ch.snake {
-			snakeATA(st, ri.norm, emit, c)
+	if snake, ok := c.choiceGet(fp, ri.norm, occ, want); ok {
+		if snake {
+			snakeATA(st, ri, emit)
 		} else {
-			gridATA(st, ri.norm, emit, c)
+			gridATA(st, ri, emit)
 		}
 		return
 	}
 	stG := st.Clone()
 	var rg stepRecorder
-	gridATA(stG, ri.norm, rg.emit, c)
+	gridATA(stG, ri, rg.emit)
 	stS := st.Clone()
 	var rs stepRecorder
-	snakeATA(stS, ri.norm, rs.emit, c)
+	snakeATA(stS, ri, rs.emit)
 	snake := snakeBeatsGrid(stG, stS, rg.c, rs.c)
 	winner, winSteps := stG, rg.steps
-	counts := rg.c
 	if snake {
 		winner, winSteps = stS, rs.steps
-		counts = rs.c
 	}
 	st.adopt(winner)
 	for _, s := range winSteps {
 		emit(s)
 	}
-	c.choicePut(fp, ri.norm, occ, want, &gridChoice{snake: snake, counts: counts})
+	c.choicePut(fp, ri.norm, occ, want, snake)
 }
 
 // GridStructuredATA runs the unit-structured grid pattern (§3.1 + App. A)
 // unconditionally — exported for the A2 ablation, which compares it against
 // SnakeATA; ATA itself picks the cheaper of the two per region.
 func GridStructuredATA(st *State, region arch.Region, emit EmitFunc) {
-	gridATA(st, NormalizeRegion(st.A, region), emit, nil)
+	gridATA(st, newRegionInfo(st.A, region), emit)
 }
 
 // SnakeATA runs the linear pattern over the architecture's Hamiltonian
 // snake (grid, line, 3D lattice) — exported for the A2 ablation.
 func SnakeATA(st *State, region arch.Region, emit EmitFunc) {
-	snakeATA(st, NormalizeRegion(st.A, region), emit, nil)
+	snakeATA(st, newRegionInfo(st.A, region), emit)
 }
 
 // Counter is an EmitFunc sink that accumulates the metrics the hybrid

@@ -10,14 +10,19 @@ import (
 )
 
 // PatternCache memoises the region-derived structures the ATA patterns
-// recompute on every invocation: normalised regions, the unit segments of a
-// region, the snake restriction to a region, and — for grids — which of the
-// two candidate patterns (unit-structured vs snake) wins for a given
-// (region, mapping, want) state, together with its step/depth counts. The
-// hybrid compiler's prediction loop evaluates many checkpoints over the same
-// few active regions, and the winning candidate is re-materialised after
-// selection from the exact state it was scored at, so these entries see real
-// hits.
+// would otherwise recompute on every invocation: normalised regions, the
+// unit segments of a region, the snake restriction to a region, and — for
+// grids — which of the two candidate patterns (unit-structured vs snake)
+// wins for a given (region, mapping, want) state. The hybrid compiler's
+// prediction loop evaluates many checkpoints over the same few active
+// regions, and the winning candidate is re-materialised after selection
+// from the exact state it was scored at, so these entries see real hits.
+// Every ATA run goes through one.
+//
+// The cache is an in-process memo only. Its geometry entries are closed-form
+// functions of the device's regular structure that cost microseconds to
+// derive, so nothing is persisted: a fresh process recomputes them on first
+// use.
 //
 // Entries are keyed by the architecture's structural fingerprint rather than
 // the *Arch pointer, so independently constructed but identical devices
@@ -83,13 +88,6 @@ type regionInfo struct {
 	// pattern choice depends on, see stateHash).
 	snakeSeg []int
 	snakeOK  bool
-}
-
-// gridChoice is a choice entry: which grid pattern won the dual prediction
-// from a given state, and the counts it was scored with.
-type gridChoice struct {
-	snake  bool
-	counts Counter
 }
 
 // NewPatternCache returns a cache bounded to capacity entries (0 or
@@ -313,18 +311,19 @@ func (ri *regionInfo) stateHash(st *State) (occ, want uint64) {
 	return occ, want
 }
 
-// choiceGet looks up a memoised grid pattern choice.
-func (c *PatternCache) choiceGet(fp uint64, r arch.Region, occ, want uint64) (*gridChoice, bool) {
+// choiceGet looks up a memoised grid pattern choice: whether the snake won
+// the dual prediction from the given state.
+func (c *PatternCache) choiceGet(fp uint64, r arch.Region, occ, want uint64) (snake, ok bool) {
 	v, ok := c.get(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want})
 	if !ok {
-		return nil, false
+		return false, false
 	}
-	return v.(*gridChoice), true
+	return v.(bool), true
 }
 
 // choicePut stores a grid pattern choice.
-func (c *PatternCache) choicePut(fp uint64, r arch.Region, occ, want uint64, ch *gridChoice) {
-	c.put(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want}, ch)
+func (c *PatternCache) choicePut(fp uint64, r arch.Region, occ, want uint64, snake bool) {
+	c.put(pcKey{fp: fp, r: r, choice: true, occ: occ, want: want}, snake)
 }
 
 // stepRecorder buffers emitted steps (the patterns allocate every step's

@@ -44,11 +44,11 @@ func regionUnits(a *arch.Arch, r arch.Region) [][]int {
 // Total cycle depth is O(R*C) = O(n), about 25% below the separate-phase
 // variant — the Appendix A depth saving.
 //
-// The cache parameter (nil = compute directly) memoises the region's unit
-// segments so repeated predictions over the same region skip the
+// The region's unit segments come from ri (read-only; they alias
+// Arch.Units), so repeated predictions over the same region skip the
 // decomposition.
-func gridATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
-	units := cachedRegionUnits(st.A, region, c)
+func gridATA(st *State, ri *regionInfo, emit EmitFunc) {
+	units := ri.units
 	if len(units) == 0 {
 		return
 	}
@@ -91,18 +91,8 @@ func gridATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
 	if !sc.done() {
 		// Residual intra-unit pairs (short regions can finish the
 		// unit-level rounds before every row fully mixes).
-		linear(st, cachedRegionUnits(st.A, region, c), linearOpts{sc: sc}, emit)
+		linear(st, units, linearOpts{sc: sc}, emit)
 	}
-}
-
-// cachedRegionUnits returns the region's unit segments through the cache
-// when one is supplied. The cached slices alias Arch.Units and are
-// read-only.
-func cachedRegionUnits(a *arch.Arch, region arch.Region, c *PatternCache) [][]int {
-	if c != nil {
-		return c.structural(a, region).units
-	}
-	return regionUnits(a, region)
 }
 
 // bipartiteGrid runs the 2xUnit bipartite pattern of Fig 8/9 on every row
@@ -181,26 +171,15 @@ func bipartiteGrid(st *State, units [][]int, pairs [][2]int, sc *scope, emit Emi
 // are compared against (and the solution used for the 3D lattice, whose
 // hierarchical decomposition §3.2 only sketches). The snake restricted to
 // the region rectangle stays contiguous only for some region shapes; when
-// the restriction breaks, the pattern falls back to the full snake. A
-// non-nil cache memoises the restriction per (arch, region).
-func snakeATA(st *State, region arch.Region, emit EmitFunc, c *PatternCache) {
+// the restriction breaks, the pattern falls back to the full snake. The
+// restriction comes precomputed in ri.
+func snakeATA(st *State, ri *regionInfo, emit EmitFunc) {
 	snake := st.A.Snake
 	if snake == nil {
 		return
 	}
-	if !region.UsesPath && len(st.A.Units) > 0 {
-		var seg []int
-		var ok bool
-		if c != nil {
-			ri := c.structural(st.A, region)
-			seg, ok = ri.snakeSeg, ri.snakeOK
-		} else {
-			seg, ok = restrictSnake(st.A, region)
-		}
-		if ok {
-			linear(st, [][]int{seg}, linearOpts{}, emit)
-			return
-		}
+	if ri.snakeOK {
+		snake = ri.snakeSeg
 	}
 	linear(st, [][]int{snake}, linearOpts{}, emit)
 }

@@ -94,7 +94,7 @@ func TestGridMergeOptimization(t *testing.T) {
 		n := a.N()
 		st := NewState(a, n, nil, graph.Complete(n))
 		var c Counter
-		if err := ATA(st, arch.FullRegion(a), c.Emit); err != nil {
+		if err := ATA(st, arch.FullRegion(a), c.Emit, NewPatternCache(0)); err != nil {
 			t.Fatal(err)
 		}
 		if !st.Want.Empty() {

@@ -72,7 +72,7 @@ func TestATAPropertyRandomMappings(t *testing.T) {
 				}
 			}
 		}
-		if err := ATA(st, arch.FullRegion(a), emit); err != nil {
+		if err := ATA(st, arch.FullRegion(a), emit, NewPatternCache(0)); err != nil {
 			return false
 		}
 		// st.L2P is swapnet's own final-mapping claim; perm-soundness refolds
@@ -110,7 +110,7 @@ func TestATALinearDepthProperty(t *testing.T) {
 			n := a.N()
 			st := NewState(a, n, nil, graph.Complete(n))
 			var c Counter
-			if err := ATA(st, arch.FullRegion(a), c.Emit); err != nil {
+			if err := ATA(st, arch.FullRegion(a), c.Emit, NewPatternCache(0)); err != nil {
 				t.Fatal(err)
 			}
 			if !st.Want.Empty() {
@@ -140,7 +140,7 @@ func TestHeavyHexLinearDepthProperty(t *testing.T) {
 		n := a.N()
 		st := NewState(a, n, nil, graph.Complete(n))
 		var c Counter
-		if err := ATA(st, arch.FullRegion(a), c.Emit); err != nil {
+		if err := ATA(st, arch.FullRegion(a), c.Emit, NewPatternCache(0)); err != nil {
 			t.Fatal(err)
 		}
 		if !st.Want.Empty() {
@@ -167,7 +167,7 @@ func TestATAGateCountProperty(t *testing.T) {
 		p := graph.Gnp(25, 0.15+0.7*rng.Float64(), rng)
 		st := NewState(a, 25, nil, p)
 		var c Counter
-		if err := ATA(st, arch.FullRegion(a), c.Emit); err != nil {
+		if err := ATA(st, arch.FullRegion(a), c.Emit, NewPatternCache(0)); err != nil {
 			return false
 		}
 		return st.Want.Empty() && c.Gates == p.M()

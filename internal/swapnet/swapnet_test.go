@@ -66,7 +66,7 @@ func runChecked(t *testing.T, a *arch.Arch, problem *graph.Graph) (cycles, gates
 			}
 		}
 	}
-	if err := ATA(st, arch.FullRegion(a), emit); err != nil {
+	if err := ATA(st, arch.FullRegion(a), emit, NewPatternCache(0)); err != nil {
 		t.Fatalf("ATA: %v", err)
 	}
 	if !st.Want.Empty() {
@@ -317,7 +317,7 @@ func TestATASparseRandomGraphs(t *testing.T) {
 			n := a.N()
 			p := graph.Gnp(n, 0.3, rng)
 			st := NewState(a, n, nil, p)
-			if err := ATA(st, arch.FullRegion(a), func(Step) {}); err != nil {
+			if err := ATA(st, arch.FullRegion(a), func(Step) {}, NewPatternCache(0)); err != nil {
 				t.Fatalf("%s: %v", a.Name, err)
 			}
 			if !st.Want.Empty() {
@@ -332,14 +332,14 @@ func TestATASparseCheaperThanClique(t *testing.T) {
 	n := a.N()
 	cliqueSt := NewState(a, n, nil, graph.Complete(n))
 	var cliqueC Counter
-	if err := ATA(cliqueSt, arch.FullRegion(a), cliqueC.Emit); err != nil {
+	if err := ATA(cliqueSt, arch.FullRegion(a), cliqueC.Emit, NewPatternCache(0)); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
 	sparse := graph.Gnp(n, 0.1, rng)
 	sparseSt := NewState(a, n, nil, sparse)
 	var sparseC Counter
-	if err := ATA(sparseSt, arch.FullRegion(a), sparseC.Emit); err != nil {
+	if err := ATA(sparseSt, arch.FullRegion(a), sparseC.Emit, NewPatternCache(0)); err != nil {
 		t.Fatal(err)
 	}
 	if sparseC.CX >= cliqueC.CX {
@@ -377,7 +377,7 @@ func TestATARegionRestricted(t *testing.T) {
 				}
 			}
 		}
-	})
+	}, NewPatternCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestHeavyHexPassesWithinBudget(t *testing.T) {
 		if len(s.Compute) == 0 && len(s.Swaps) == 1 && len(s.Swaps[0]) == 1 {
 			singleSwapSteps++
 		}
-	})
+	}, NewPatternCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package ataqc
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -42,7 +41,7 @@ func (t *Trace) inner() *obs.Trace {
 }
 
 // TraceFormats lists the formats WriteFormat accepts.
-var TraceFormats = []string{"chrome", "jsonl", "text"}
+var TraceFormats = obs.Formats
 
 // WriteChrome exports the trace as Chrome trace_event JSON, loadable in
 // chrome://tracing or ui.perfetto.dev.
@@ -58,16 +57,7 @@ func (t *Trace) WriteText(w io.Writer) error { return t.inner().WriteText(w) }
 
 // WriteFormat exports in the named format: "chrome", "jsonl", or "text".
 func (t *Trace) WriteFormat(w io.Writer, format string) error {
-	switch format {
-	case "chrome":
-		return t.WriteChrome(w)
-	case "jsonl":
-		return t.WriteJSONL(w)
-	case "text":
-		return t.WriteText(w)
-	default:
-		return fmt.Errorf("ataqc: unknown trace format %q (want chrome, jsonl, or text)", format)
-	}
+	return t.inner().WriteFormat(w, format)
 }
 
 // Phase is one named, timed segment of the compile pipeline.
